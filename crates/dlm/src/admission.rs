@@ -1,13 +1,10 @@
-//! Mode-admission helpers shared by [`crate::FifoTable`] and
-//! [`crate::QueueTable`].
+//! Mode-admission helpers for [`crate::QueueTable`].
 //!
-//! Every "can this request be granted next to those holders?" question in
-//! both tables routes through these two functions, which in turn route
-//! through the **one** compatibility matrix on
-//! [`kplock_model::LockMode`] — so the two implementations cannot drift
-//! from each other or from the matrix. Before the mode lattice this logic
-//! was written out twice as `mode == Shared && holders all Shared`; the
-//! helpers reduce to exactly that on the `S`/`X` fragment.
+//! Every "can this request be granted next to those holders?" question the
+//! table asks routes through these functions, which in turn route through
+//! the **one** compatibility matrix on [`kplock_model::LockMode`], so the
+//! table cannot drift from the matrix. On the `S`/`X` fragment they reduce
+//! to the pre-lattice rule `mode == Shared && holders all Shared`.
 
 use kplock_model::LockMode;
 
@@ -38,13 +35,15 @@ pub(crate) fn upgrade_admissible<O: Copy + Eq>(
 
 /// The first pairwise-incompatible pair of co-held modes, if any — the
 /// full-matrix structural invariant (catches `S+IX`, `SIX+SIX`,
-/// `X+anything`, not just `S+X` and double-`X`).
-pub(crate) fn incompatible_pair(modes: &[LockMode]) -> Option<(LockMode, LockMode)> {
-    for (i, &a) in modes.iter().enumerate() {
-        for &b in &modes[i + 1..] {
-            if !a.compatible_with(b) {
-                return Some((a, b));
-            }
+/// `X+anything`, not just `S+X` and double-`X`). Walks `modes` in place
+/// (the iterator is cloned for the inner loop), so auditing a holder list
+/// allocates nothing.
+pub(crate) fn incompatible_pair(
+    mut modes: impl Iterator<Item = LockMode> + Clone,
+) -> Option<(LockMode, LockMode)> {
+    while let Some(a) = modes.next() {
+        if let Some(b) = modes.clone().find(|&b| !a.compatible_with(b)) {
+            return Some((a, b));
         }
     }
     None
@@ -97,19 +96,22 @@ mod tests {
 
     #[test]
     fn incompatible_pair_sees_the_full_matrix() {
-        assert_eq!(incompatible_pair(&[Shared, Shared, IntentionShared]), None);
         assert_eq!(
-            incompatible_pair(&[Shared, IntentionExclusive]),
+            incompatible_pair([Shared, Shared, IntentionShared].into_iter()),
+            None
+        );
+        assert_eq!(
+            incompatible_pair([Shared, IntentionExclusive].into_iter()),
             Some((Shared, IntentionExclusive))
         );
         assert_eq!(
-            incompatible_pair(&[IntentionShared, Exclusive]),
+            incompatible_pair([IntentionShared, Exclusive].into_iter()),
             Some((IntentionShared, Exclusive))
         );
         assert_eq!(
-            incompatible_pair(&[SharedIntentionExclusive, SharedIntentionExclusive]),
+            incompatible_pair([SharedIntentionExclusive, SharedIntentionExclusive].into_iter()),
             Some((SharedIntentionExclusive, SharedIntentionExclusive))
         );
-        assert_eq!(incompatible_pair(&[Exclusive]), None);
+        assert_eq!(incompatible_pair([Exclusive].into_iter()), None);
     }
 }

@@ -8,8 +8,8 @@
 //! cycle: a request *blocking* (adding edges from the requester), and a
 //! release *granting* (the entity's remaining waiters retarget onto the
 //! new holder) — so detection must run after both, which is exactly what
-//! [`crate::LockManager`] and the simulator's on-block mode do; every
-//! deadlock is then found at the moment it forms.
+//! the simulator's on-block mode does; every deadlock is then found at the
+//! moment it forms.
 //!
 //! Cycle search and strongly-connected-component analysis reuse
 //! `kplock-graph` ([`kplock_graph::find_cycle`], [`kplock_graph::tarjan_scc`])
@@ -47,7 +47,7 @@ impl<O: Copy + Eq + Ord + Hash> WaitForGraph<O> {
     }
 
     /// Replaces entity `e`'s contribution with `edges` (typically
-    /// `ModeTable::entity_waits_for(e)` after a state change). An empty
+    /// [`crate::QueueTable::entity_waits_for`] after a state change). An empty
     /// `edges` removes the entity. Returns whether the contribution
     /// actually changed — callers gate their cycle checks on it.
     pub fn update_entity(&mut self, e: EntityId, edges: Vec<(O, O)>) -> bool {

@@ -1,23 +1,25 @@
 //! A sharded reader–writer distributed lock-manager service layer.
 //!
-//! The paper's model — and the simulator's original table — is one
-//! exclusive lock table per site with FIFO queues. This crate generalizes
-//! it along the two axes that dominate real lock-manager throughput:
+//! The paper's model is one exclusive lock table per site with FIFO
+//! queues. This crate generalizes it along the axes that dominate real
+//! lock-manager throughput:
 //!
-//! * **Modes** ([`kplock_model::LockMode`]): shared/exclusive grants with
-//!   FIFO fairness and in-place upgrade ([`ModeTable`]);
+//! * **Modes** ([`kplock_model::LockMode`]): the IS/IX/S/SIX/X lattice
+//!   with FIFO fairness and in-place upgrade, in one arena-backed table,
+//!   [`QueueTable`], whose steady-state acquire/release path allocates
+//!   nothing;
 //! * **Sharding** ([`ShardedTable`]): hash-partitioned tables, one mutex
 //!   per shard, so independent entities never contend, plus batched
 //!   acquire/release that locks each shard once per batch;
 //!
 //! and replaces the engine's periodic global deadlock scan with
-//! **incremental wait-for-graph detection** ([`WaitForGraph`],
-//! [`LockManager`]) built on `kplock-graph`'s cycle/SCC machinery: the
-//! graph is updated per entity as requests block and checked exactly when
-//! a block occurs, so a deadlock is reported the moment it forms.
+//! **incremental wait-for-graph detection** ([`WaitForGraph`]) built on
+//! `kplock-graph`'s cycle/SCC machinery: the graph is updated per entity
+//! as requests block and checked exactly when a block occurs, so a
+//! deadlock is reported the moment it forms.
 //!
 //! Detection's counterpart is timestamp-ordering **prevention**
-//! ([`prevent`], [`ModeTable::request_with_priority`]): wound-wait,
+//! ([`prevent`], [`QueueTable::request_with_priority`]): wound-wait,
 //! wait-die and no-wait decide at request time — from birth-stamp
 //! priorities, with no graph at all — whether a wait may exist, so no
 //! cycle can ever form and there is nothing left to detect.
@@ -30,48 +32,52 @@
 //! which grants have been handed to a remote cache as *delegated
 //! ownership* (the DLM-side half of client-side lock caching: the hold
 //! stays in the table, release authority moves to the delegate until a
-//! conflicting request revokes it). [`ModeTable::is_waiting`] and
-//! [`ModeTable::release_idempotent`] make duplicated or retransmitted
+//! conflicting request revokes it). [`QueueTable::is_waiting`] and
+//! [`QueueTable::release_idempotent`] make duplicated or retransmitted
 //! request/release messages safe, the table-side half of running over an
 //! unreliable network.
 //!
-//! Exclusive-only, single-shard use reproduces the simulator's original
-//! semantics bit-for-bit — `kplock-sim`'s table is now a thin wrapper over
-//! [`ModeTable`] — while protocol violations surface as typed
-//! [`LockError`]s at this API boundary instead of panics.
+//! `kplock-sim`'s per-site table is a thin wrapper over [`QueueTable`];
+//! protocol violations surface as typed [`LockError`]s at this API
+//! boundary instead of panics.
 //!
 //! # Example
 //!
 //! Two readers share an entity; a writer queues behind them; releasing the
-//! readers grants the writer; a wait-for cycle is detected the instant it
-//! forms:
+//! readers grants the writer; feeding the wait-for graph the entity that
+//! just changed finds a deadlock the instant it forms:
 //!
 //! ```
-//! use kplock_dlm::{LockManager, ManagedAcquire};
+//! use kplock_dlm::{Acquire, QueueTable, WaitForGraph};
 //! use kplock_model::{EntityId, LockMode};
 //!
-//! let m: LockManager<u32> = LockManager::new(16); // 16 shards
+//! let mut t: QueueTable<u32> = QueueTable::new();
+//! let mut g: WaitForGraph<u32> = WaitForGraph::new();
 //! let (a, b) = (EntityId(0), EntityId(1));
+//! let x = LockMode::Exclusive;
 //!
 //! // Shared access coexists; exclusive queues FIFO behind it.
-//! assert_eq!(m.acquire(a, 1, LockMode::Shared).unwrap(), ManagedAcquire::Granted);
-//! assert_eq!(m.acquire(a, 2, LockMode::Shared).unwrap(), ManagedAcquire::Granted);
-//! assert_eq!(m.acquire(a, 3, LockMode::Exclusive).unwrap(), ManagedAcquire::Queued);
-//! m.release(a, 1).unwrap();
-//! assert_eq!(m.release(a, 2).unwrap().granted, vec![(3, LockMode::Exclusive)]);
+//! assert_eq!(t.request(a, 1, LockMode::Shared).unwrap(), Acquire::Granted);
+//! assert_eq!(t.request(a, 2, LockMode::Shared).unwrap(), Acquire::Granted);
+//! assert_eq!(t.request(a, 3, x).unwrap(), Acquire::Queued);
+//! t.release(a, 1).unwrap();
+//! assert_eq!(t.release(a, 2).unwrap(), vec![(3, x)]);
 //!
 //! // Deadlock: 3 holds a; 4 holds b; they request each other's entity.
-//! assert_eq!(m.acquire(b, 4, LockMode::Exclusive).unwrap(), ManagedAcquire::Granted);
-//! assert_eq!(m.acquire(b, 3, LockMode::Exclusive).unwrap(), ManagedAcquire::Queued);
-//! match m.acquire(a, 4, LockMode::Exclusive).unwrap() {
-//!     ManagedAcquire::Deadlock(mut cycle) => {
-//!         cycle.sort();
-//!         assert_eq!(cycle, vec![3, 4]); // found at block time, no scan
-//!     }
-//!     other => panic!("expected a deadlock, got {other:?}"),
+//! assert_eq!(t.request(b, 4, x).unwrap(), Acquire::Granted);
+//! for (e, o) in [(b, 3), (a, 4)] {
+//!     assert_eq!(t.request(e, o, x).unwrap(), Acquire::Queued);
+//!     g.update_entity(e, t.entity_waits_for(e));
 //! }
-//! let _ = m.abort(4); // victim out; 3 is granted b
-//! assert_eq!(m.table().holds(b, 3), Some(LockMode::Exclusive));
+//! let mut cycle = g.find_cycle().expect("found at block time, no scan");
+//! cycle.sort();
+//! assert_eq!(cycle, vec![3, 4]);
+//!
+//! // Abort the victim: its wait is cancelled, its hold released, and 3 is
+//! // granted b.
+//! t.cancel_waits(4);
+//! assert_eq!(t.release_all(4), vec![(b, vec![(3, x)])]);
+//! assert_eq!(t.holds(b, 3), Some(x));
 //! ```
 
 mod admission;
@@ -79,7 +85,6 @@ pub mod deadlock;
 pub mod error;
 pub mod lease;
 pub mod lock_table;
-pub mod manager;
 pub mod prevent;
 pub mod queue_table;
 pub mod sharded;
@@ -88,9 +93,8 @@ pub mod table;
 pub use deadlock::WaitForGraph;
 pub use error::LockError;
 pub use lease::{DelegationEntry, DelegationLedger, Lease, LeaseTable};
-pub use lock_table::{Bias, LockTable, TableSpec};
-pub use manager::{Aborted, BatchReleased, LockManager, ManagedAcquire, Released};
+pub use lock_table::{Bias, TableSpec};
 pub use prevent::{PreventionOutcome, PreventionScheme, Priority};
 pub use queue_table::QueueTable;
 pub use sharded::ShardedTable;
-pub use table::{Acquire, CancelOutcome, EntityGrants, FifoTable, Grants, ModeTable};
+pub use table::{Acquire, CancelOutcome, EntityGrants, Grants};

@@ -1,46 +1,18 @@
-//! The [`LockTable`] abstraction: one interface, two engines.
-//!
-//! Everything above the table — the sharding layer, the simulator's
-//! per-site wrapper, the threaded runner, the bench driver — talks to a
-//! lock table through this trait, so the *protocol* (FIFO fairness,
-//! upgrade rules, prevention schemes) is fixed while the *data structure*
-//! is swappable:
-//!
-//! * [`FifoTable`](crate::FifoTable) — the reference implementation:
-//!   per-entity `Vec`/`VecDeque` holder and waiter lists. Simple, and
-//!   bit-identical to the simulator's original table in the
-//!   exclusive-only case.
-//! * [`QueueTable`](crate::QueueTable) — arena-allocated intrusive queue
-//!   nodes (u32 slot ids, free-list reuse) in the style of MCS/CLH queue
-//!   locks: zero allocation in the steady-state acquire/release path,
-//!   plus a reader/writer [`Bias`] knob and topology-aware cohort
-//!   handoff.
-//!
-//! The trait is **object-safe** (`&dyn LockTable<O>` works): the priority
-//! oracle is passed as `&dyn Fn(O) -> Priority`, and the hot-path release
-//! writes grants into a caller-supplied buffer
-//! ([`LockTable::release_into`]) so implementations that can avoid
-//! allocating are not forced to return a fresh `Vec`.
-//!
-//! [`TableSpec`] is the serializable selector the simulator, the threaded
-//! runner and the bench driver share to pick an implementation uniformly.
+//! How a runner configures its lock table: the promotion [`Bias`] and
+//! cohort count of a [`QueueTable`], as one serializable [`TableSpec`]
+//! the simulator, the threaded runner and the bench driver share.
 
-use crate::error::LockError;
-use crate::prevent::{PreventionOutcome, PreventionScheme, Priority};
-use crate::table::{Acquire, CancelOutcome, EntityGrants, Grants};
-use kplock_model::{EntityId, LockMode};
+use crate::queue_table::QueueTable;
 use std::hash::Hash;
 
-/// Reader/writer scheduling bias for [`QueueTable`](crate::QueueTable)
-/// grant promotion.
+/// Reader/writer scheduling bias for [`QueueTable`] grant promotion.
 ///
 /// The bias never changes *admission* (who may be granted immediately,
 /// who must wait, what prevention sees as obstacles) — only the order in
 /// which *queued* waiters are promoted when a release frees capacity:
 ///
-/// * [`Bias::Neutral`] — strict FIFO, exactly the
-///   [`FifoTable`](crate::FifoTable) discipline (this is what the
-///   equivalence proptests pin).
+/// * [`Bias::Neutral`] — strict FIFO (what the differential tests against
+///   the reference table pin).
 /// * [`Bias::ReaderBatch`] — after the FIFO-compatible prefix is granted,
 ///   every *other* queued reader compatible with the holder set is pulled
 ///   forward too, maximizing reader concurrency at the cost of delaying
@@ -50,7 +22,7 @@ use std::hash::Hash;
 ///   bounding writer latency at the cost of reader reordering.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Bias {
-    /// Strict FIFO; bit-identical to [`FifoTable`](crate::FifoTable).
+    /// Strict FIFO.
     #[default]
     Neutral,
     /// Batch compatible readers from anywhere in the queue.
@@ -59,169 +31,33 @@ pub enum Bias {
     WriterPreference,
 }
 
-/// Which [`LockTable`] implementation a runner should build — the one
-/// knob the sim, the threaded runner and `kplock-bench` sweep uniformly.
+/// The lock-table knobs a runner sweeps. The default — neutral bias, no
+/// cohorts — is the strict-FIFO table every fixed-seed pin runs against.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum TableSpec {
-    /// The `Vec`-list [`FifoTable`](crate::FifoTable) (the default: all
-    /// fixed-seed regression pins run against this).
-    #[default]
-    Fifo,
-    /// The arena [`QueueTable`](crate::QueueTable).
-    Queue {
-        /// Promotion bias (see [`Bias`]).
-        bias: Bias,
-        /// Number of topology cohorts for locality-aware handoff;
-        /// `0` disables cohort handoff entirely.
-        cohorts: u32,
-    },
+pub struct TableSpec {
+    /// Promotion bias (see [`Bias`]).
+    pub bias: Bias,
+    /// Number of topology cohorts for locality-aware handoff;
+    /// `0` disables cohort handoff entirely.
+    pub cohorts: u32,
 }
 
 impl TableSpec {
-    /// A neutral, topology-free queue table — FIFO-equivalent by
-    /// construction, differing from [`TableSpec::Fifo`] only in data
-    /// structure.
-    pub fn queue() -> Self {
-        TableSpec::Queue {
-            bias: Bias::Neutral,
-            cohorts: 0,
-        }
+    /// Builds an empty table with this spec's bias and cohorts; `cohort_of`
+    /// maps an owner to its cohort (see [`QueueTable::with_topology`]).
+    pub fn build<O: Copy + Eq + Ord + Hash>(&self, cohort_of: fn(O, u32) -> u32) -> QueueTable<O> {
+        QueueTable::new()
+            .with_bias(self.bias)
+            .with_topology(self.cohorts, cohort_of)
     }
 
     /// Short stable label for bench records and logs.
     pub fn label(&self) -> &'static str {
-        match self {
-            TableSpec::Fifo => "fifo",
-            TableSpec::Queue {
-                bias: Bias::Neutral,
-                cohorts: 0,
-            } => "queue",
-            TableSpec::Queue {
-                bias: Bias::Neutral,
-                ..
-            } => "queue+cohort",
-            TableSpec::Queue {
-                bias: Bias::ReaderBatch,
-                ..
-            } => "queue+rbatch",
-            TableSpec::Queue {
-                bias: Bias::WriterPreference,
-                ..
-            } => "queue+wpref",
-        }
-    }
-}
-
-/// A reader–writer FIFO lock table over one partition of the entity
-/// space, as a swappable engine.
-///
-/// All implementations must agree on the *protocol*: the admission rules,
-/// prevention obstacle sets, upgrade handling and error cases documented
-/// on [`FifoTable`](crate::FifoTable) — `tests/table_equivalence.rs` at
-/// the workspace root holds them to it property-by-property. They may
-/// differ in promotion *order* only where an explicit [`Bias`] or
-/// topology says so.
-pub trait LockTable<O: Copy + Eq + Ord + Hash> {
-    /// Requests `mode` on `e` for `o`.
-    /// See [`FifoTable::request`](crate::FifoTable::request).
-    fn acquire(&mut self, e: EntityId, o: O, mode: LockMode) -> Result<Acquire, LockError>;
-
-    /// Requests `mode` on `e` for `o` under a timestamp-ordering
-    /// prevention scheme. `prio` is a dyn closure for object safety.
-    /// See [`FifoTable::request_with_priority`](crate::FifoTable::request_with_priority).
-    fn acquire_with_priority(
-        &mut self,
-        e: EntityId,
-        o: O,
-        mode: LockMode,
-        scheme: PreventionScheme,
-        prio: &dyn Fn(O) -> Priority,
-    ) -> Result<PreventionOutcome<O>, LockError>;
-
-    /// Releases `o`'s lock on `e`, appending unblocked grants (in
-    /// promotion order) to `out` — the zero-allocation hot path when the
-    /// caller reuses the buffer. `out` is *not* cleared first.
-    fn release_into(&mut self, e: EntityId, o: O, out: &mut Grants<O>) -> Result<(), LockError>;
-
-    /// Releases `o`'s lock on `e`; returns the grants this unblocked.
-    /// Allocating convenience over [`LockTable::release_into`].
-    fn release(&mut self, e: EntityId, o: O) -> Result<Grants<O>, LockError> {
-        let mut out = Grants::new();
-        self.release_into(e, o, &mut out)?;
-        Ok(out)
-    }
-
-    /// Releases `o`'s lock on `e` if it holds one; a no-op otherwise.
-    fn release_idempotent(&mut self, e: EntityId, o: O) -> Grants<O> {
-        self.release(e, o).unwrap_or_default()
-    }
-
-    /// Removes `o` from every wait queue and pending-upgrade slot.
-    fn cancel_waits(&mut self, o: O) -> CancelOutcome<O>;
-
-    /// Releases everything `o` holds; `(entity, grants)` pairs ascending.
-    fn release_all(&mut self, o: O) -> EntityGrants<O>;
-
-    /// The mode `o` holds on `e`, if any.
-    fn holds(&self, e: EntityId, o: O) -> Option<LockMode>;
-
-    /// Current holders of `e` with their modes (unspecified order).
-    fn holders(&self, e: EntityId) -> Vec<(O, LockMode)>;
-
-    /// Sole exclusive holder of `e`, if held exclusively.
-    fn exclusive_holder(&self, e: EntityId) -> Option<O>;
-
-    /// Entities currently held by `o`, ascending.
-    fn held_by(&self, o: O) -> Vec<EntityId>;
-
-    /// All waits-for edges `(waiter, holder)`, ascending.
-    fn waits_for(&self) -> Vec<(O, O)>;
-
-    /// The waits-for edges induced by `e` alone, ascending.
-    fn entity_waits_for(&self, e: EntityId) -> Vec<(O, O)>;
-
-    /// The holders `o` waits on here, ascending, deduplicated.
-    fn waits_of(&self, o: O) -> Vec<O>;
-
-    /// True when `o` is queued or upgrade-pending on `e`.
-    fn is_waiting(&self, e: EntityId, o: O) -> bool;
-
-    /// The owners a re-submitted request by `o` on `e` would be admitted
-    /// against, ascending, deduplicated.
-    fn conflicts_of(&self, e: EntityId, o: O) -> Vec<O>;
-
-    /// Entities with any lock state, ascending.
-    fn active_entities(&self) -> Vec<EntityId>;
-
-    /// True when nothing is held or queued anywhere.
-    fn is_idle(&self) -> bool;
-
-    /// Structural invariant check (for tests and audits).
-    fn check_invariants(&self) -> Result<(), String>;
-
-    /// Acquires a batch of `(entity, mode)` requests for one owner,
-    /// returning the per-request outcomes in order. Single-table default;
-    /// [`ShardedTable`](crate::ShardedTable) has the shard-aware version.
-    fn acquire_batch(
-        &mut self,
-        o: O,
-        requests: &[(EntityId, LockMode)],
-    ) -> Vec<Result<Acquire, LockError>> {
-        requests
-            .iter()
-            .map(|&(e, m)| self.acquire(e, o, m))
-            .collect()
-    }
-
-    /// Releases a batch of entities for one owner, appending every
-    /// unblocked grant (tagged with its entity) to `out`. Entities not
-    /// held are skipped, mirroring [`LockTable::release_idempotent`].
-    fn release_batch_into(&mut self, o: O, entities: &[EntityId], out: &mut EntityGrants<O>) {
-        for &e in entities {
-            let mut grants = Grants::new();
-            if self.release_into(e, o, &mut grants).is_ok() {
-                out.push((e, grants));
-            }
+        match (self.bias, self.cohorts) {
+            (Bias::Neutral, 0) => "queue",
+            (Bias::Neutral, _) => "queue+cohort",
+            (Bias::ReaderBatch, _) => "queue+rbatch",
+            (Bias::WriterPreference, _) => "queue+wpref",
         }
     }
 }
@@ -229,67 +65,12 @@ pub trait LockTable<O: Copy + Eq + Ord + Hash> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::table::FifoTable;
-
-    #[test]
-    fn trait_is_object_safe_and_defaults_work() {
-        let mut t: FifoTable<u32> = FifoTable::new();
-        let table: &mut dyn LockTable<u32> = &mut t;
-        let e = EntityId(7);
-        assert_eq!(
-            table.acquire(e, 1, LockMode::Exclusive).unwrap(),
-            Acquire::Granted
-        );
-        assert_eq!(
-            table.acquire(e, 2, LockMode::Exclusive).unwrap(),
-            Acquire::Queued
-        );
-        let mut out = Grants::new();
-        table.release_into(e, 1, &mut out).unwrap();
-        assert_eq!(out, vec![(2, LockMode::Exclusive)]);
-        assert_eq!(table.release(e, 2).unwrap(), vec![]);
-        assert!(table.is_idle());
-    }
-
-    #[test]
-    fn dyn_priority_closure_dispatches() {
-        let mut t: FifoTable<u32> = FifoTable::new();
-        let table: &mut dyn LockTable<u32> = &mut t;
-        let e = EntityId(0);
-        let prio = |o: u32| -> Priority { (o as u64, 0) };
-        table
-            .acquire_with_priority(e, 5, LockMode::Exclusive, PreventionScheme::WaitDie, &prio)
-            .unwrap();
-        assert_eq!(
-            table
-                .acquire_with_priority(e, 9, LockMode::Exclusive, PreventionScheme::WaitDie, &prio)
-                .unwrap(),
-            PreventionOutcome::Rejected
-        );
-    }
-
-    #[test]
-    fn batch_defaults_round_trip() {
-        let mut t: FifoTable<u32> = FifoTable::new();
-        let table: &mut dyn LockTable<u32> = &mut t;
-        let reqs = [
-            (EntityId(0), LockMode::Exclusive),
-            (EntityId(1), LockMode::Shared),
-        ];
-        let outcomes = table.acquire_batch(1, &reqs);
-        assert!(outcomes.iter().all(|r| matches!(r, Ok(Acquire::Granted))));
-        let mut out = EntityGrants::new();
-        table.release_batch_into(1, &[EntityId(0), EntityId(1), EntityId(9)], &mut out);
-        assert_eq!(out, vec![(EntityId(0), vec![]), (EntityId(1), vec![])]);
-        assert!(table.is_idle());
-    }
 
     #[test]
     fn table_spec_labels_are_stable() {
-        assert_eq!(TableSpec::Fifo.label(), "fifo");
-        assert_eq!(TableSpec::queue().label(), "queue");
+        assert_eq!(TableSpec::default().label(), "queue");
         assert_eq!(
-            TableSpec::Queue {
+            TableSpec {
                 bias: Bias::Neutral,
                 cohorts: 4
             }
@@ -297,13 +78,12 @@ mod tests {
             "queue+cohort"
         );
         assert_eq!(
-            TableSpec::Queue {
+            TableSpec {
                 bias: Bias::WriterPreference,
                 cohorts: 0
             }
             .label(),
             "queue+wpref"
         );
-        assert_eq!(TableSpec::default(), TableSpec::Fifo);
     }
 }

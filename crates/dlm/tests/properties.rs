@@ -188,7 +188,7 @@ proptest! {
             let mut by_scan: HashMap<u32, Vec<EntityId>> = HashMap::new();
             for shard in 0..t.shard_count() {
                 let guard = t.lock_shard_index(shard);
-                for e in kplock_dlm::LockTable::active_entities(&*guard) {
+                for e in guard.active_entities() {
                     for (h, _) in guard.holders(e) {
                         by_scan.entry(h).or_default().push(e);
                     }
@@ -214,7 +214,7 @@ proptest! {
     /// decisions, same grantees on release, same waits-for edges.
     #[test]
     fn exclusive_only_matches_the_original_fifo_table(seed in 0u64..10_000) {
-        // Reference model: the pre-refactor `sim::LockTable` semantics.
+        // Reference model: the original exclusive-only simulator table.
         #[derive(Default)]
         struct OldTable {
             holder: HashMap<EntityId, u32>,

@@ -260,11 +260,9 @@ pub struct SimConfig {
     /// run under. A violation is an engine bug and panics with the
     /// offending site and tick.
     pub invariant_audit: bool,
-    /// Which lock-table implementation backs every site (see
-    /// [`kplock_dlm::TableSpec`]). The default, [`TableSpec::Fifo`],
-    /// reproduces the original engine bit for bit; [`TableSpec::Queue`]
-    /// swaps in the arena-allocated queue table with its bias and
-    /// cohort-handoff knobs (grant-order-equivalent when neutral).
+    /// Every site's lock-table bias and cohort handoff (see
+    /// [`kplock_dlm::TableSpec`]). The default, strict FIFO, reproduces
+    /// the original engine bit for bit.
     pub table: TableSpec,
     /// Delegated lock ownership (see [`Delegation`]): `Off` (the default)
     /// reproduces every existing run bit for bit; `On` lets sites hand

@@ -24,8 +24,8 @@
 //! recovery rebuilds from surviving leases. Duplicated and retransmitted
 //! messages are safe because every site- and coordinator-side handler is
 //! idempotent (each handler documents its argument; the table side lives
-//! in [`kplock_dlm::ModeTable::is_waiting`] /
-//! [`kplock_dlm::ModeTable::release_idempotent`]). The default
+//! in [`kplock_dlm::QueueTable::is_waiting`] /
+//! [`kplock_dlm::QueueTable::release_idempotent`]). The default
 //! [`crate::fault::FaultPlan::none`] never touches any of it, so clean
 //! runs stay bit-identical to the fault-free engine. All randomness comes
 //! from two seeded RNGs (latency and faults), so runs are reproducible

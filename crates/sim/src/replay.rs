@@ -17,7 +17,6 @@ use std::fmt;
 
 use kplock_model::{ActionKind, EntityId, ModelError, Schedule, StepId, TxnId, TxnSystem};
 
-use crate::config::TableSpec;
 use crate::event::Instance;
 use crate::history::{audit, Audit, History};
 use crate::lock_table::SiteTable;
@@ -80,7 +79,7 @@ pub struct DeadlockEvidence {
 /// One fresh FIFO table per site of `sys`.
 fn tables(sys: &TxnSystem) -> Vec<SiteTable> {
     (0..sys.db().site_count())
-        .map(|_| SiteTable::new(TableSpec::Fifo))
+        .map(|_| SiteTable::default())
         .collect()
 }
 
