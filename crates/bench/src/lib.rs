@@ -1,16 +1,19 @@
-//! Shared helpers for the benchmark harness.
+//! Shared helpers for the measurement binaries.
 //!
-//! Every table/figure of the paper maps to one Criterion bench target (see
-//! `benches/`) plus a row-printing experiment in `src/bin/experiments.rs`;
-//! ARCHITECTURE.md §6 is the index.
+//! Each binary has one job: `experiments` prints the paper-style result
+//! tables, `kplock-bench` writes `BENCH_*.json` records and, with
+//! `--check`, gates throughput and exact counts against a committed
+//! baseline, and `kplock-analyze` cross-checks the exact decision
+//! procedures. ARCHITECTURE.md §3 maps each result of the paper to its
+//! module, and its later sections quote the `experiments` tables.
 //!
 //! # Example
 //!
 //! ```
-//! use kplock_bench::{centralized_pair, two_site_pair, STEP_SWEEP};
+//! use kplock_bench::{centralized_pair, two_site_pair};
 //! use kplock_model::Level;
 //!
-//! let sys = two_site_pair(7, STEP_SWEEP[1]); // seed 7, 8 steps per txn
+//! let sys = two_site_pair(7, 8); // seed 7, 8 steps per txn
 //! sys.validate(Level::Strict).unwrap();
 //! assert_eq!(sys.len(), 2);
 //! assert_eq!(centralized_pair(7, 6).db().site_count(), 1);
@@ -48,16 +51,13 @@ pub fn centralized_pair(seed: u64, n: usize) -> TxnSystem {
     })
 }
 
-/// Parameter sweep used across scaling experiments.
-pub const STEP_SWEEP: &[usize] = &[4, 8, 16, 32, 64];
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn workload_helpers_produce_valid_systems() {
-        for &n in STEP_SWEEP {
+        for n in [4, 8, 16, 32, 64] {
             let sys = two_site_pair(1, n);
             assert_eq!(sys.len(), 2);
             sys.validate(kplock_model::Level::Strict).unwrap();

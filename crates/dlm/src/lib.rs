@@ -9,8 +9,7 @@
 //!   [`QueueTable`], whose steady-state acquire/release path allocates
 //!   nothing;
 //! * **Sharding** ([`ShardedTable`]): hash-partitioned tables, one mutex
-//!   per shard, so independent entities never contend, plus batched
-//!   acquire/release that locks each shard once per batch;
+//!   per shard, so independent entities never contend;
 //!
 //! and replaces the engine's periodic global deadlock scan with
 //! **incremental wait-for-graph detection** ([`WaitForGraph`]) built on

@@ -5,14 +5,7 @@
 //! becomes the bottleneck. [`ShardedTable`] hash-partitions the entity
 //! space into `n` independent [`QueueTable`]s, each behind its own
 //! `parking_lot::Mutex`, so requests for entities in different shards never
-//! contend. `crates/bench/benches/dlm.rs` measures the effect (see
-//! ARCHITECTURE.md for numbers).
-//!
-//! Batched entry points ([`ShardedTable::acquire_batch`],
-//! [`ShardedTable::release_batch`]) sort requests by shard and lock each
-//! shard exactly once per batch, the lock-manager analogue of the paper's
-//! per-site total order: one round-trip per shard instead of one per
-//! entity.
+//! contend.
 
 use crate::error::LockError;
 use crate::prevent::{PreventionOutcome, PreventionScheme, Priority};
@@ -101,63 +94,6 @@ impl<O: Copy + Eq + Ord + Hash> ShardedTable<O> {
     /// the zero-allocation hot path (see [`QueueTable::release_into`]).
     pub fn release_into(&self, e: EntityId, o: O, out: &mut Grants<O>) -> Result<(), LockError> {
         self.lock_shard(e).release_into(e, o, out)
-    }
-
-    /// Acquires a batch of locks for `o`, locking every touched shard only
-    /// once, in ascending `(shard, entity)` order. Note the batch *queues
-    /// and continues* on conflict rather than blocking per resource, so —
-    /// unlike classic ordered blocking acquisition — the canonical order
-    /// does **not** rule out deadlock between two batch clients (A granted
-    /// `e0` / queued on `e1`, B granted `e1` / queued on `e0` is still
-    /// possible); feed the touched entities to a [`crate::WaitForGraph`]
-    /// for detection. Returns per-entity outcomes in the *input* order. Fails
-    /// atomically-per-request: earlier grants *and queued requests* stay
-    /// in place if a later request errors — to abort, call
-    /// [`Self::cancel_waits`] (drops the queued ones) and then
-    /// [`Self::release_all`] (drops the holds), in that order.
-    pub fn acquire_batch(
-        &self,
-        o: O,
-        reqs: &[(EntityId, LockMode)],
-    ) -> Result<Vec<(EntityId, Acquire)>, LockError> {
-        let mut order: Vec<usize> = (0..reqs.len()).collect();
-        order.sort_by_key(|&i| (self.shard_index(reqs[i].0), reqs[i].0));
-        let mut out = vec![None; reqs.len()];
-        let mut i = 0;
-        while i < order.len() {
-            let shard = self.shard_index(reqs[order[i]].0);
-            let mut guard = self.shards[shard].lock();
-            while i < order.len() && self.shard_index(reqs[order[i]].0) == shard {
-                let (e, mode) = reqs[order[i]];
-                out[order[i]] = Some(guard.request(e, o, mode)?);
-                i += 1;
-            }
-        }
-        Ok(reqs
-            .iter()
-            .zip(out)
-            .map(|(&(e, _), a)| (e, a.expect("every request processed")))
-            .collect())
-    }
-
-    /// Releases a batch of locks for `o`, locking every touched shard only
-    /// once; returns `(entity, grants)` in ascending `(shard, entity)`
-    /// order.
-    pub fn release_batch(&self, o: O, entities: &[EntityId]) -> Result<EntityGrants<O>, LockError> {
-        let mut sorted: Vec<EntityId> = entities.to_vec();
-        sorted.sort_by_key(|&e| (self.shard_index(e), e));
-        let mut out = Vec::with_capacity(sorted.len());
-        let mut i = 0;
-        while i < sorted.len() {
-            let shard = self.shard_index(sorted[i]);
-            let mut guard = self.shards[shard].lock();
-            while i < sorted.len() && self.shard_index(sorted[i]) == shard {
-                let e = sorted[i];
-                out.push((e, guard.release(e, o)?));
-                i += 1;
-            }
-        }
-        Ok(out)
     }
 
     /// The mode `o` holds on `e`, if any.
@@ -256,9 +192,6 @@ mod tests {
     fn x() -> LockMode {
         LockMode::Exclusive
     }
-    fn s() -> LockMode {
-        LockMode::Shared
-    }
 
     #[test]
     fn shard_routing_is_stable_and_total() {
@@ -286,40 +219,6 @@ mod tests {
             assert!(grants.is_empty(), "{e} had no waiters");
         }
         assert!(t.is_idle());
-    }
-
-    #[test]
-    fn batch_acquire_locks_each_shard_once_and_reports_input_order() {
-        let t: ShardedTable<u32> = ShardedTable::new(4);
-        let reqs: Vec<(EntityId, LockMode)> = (0..32).map(|i| (EntityId(i), s())).collect();
-        let out = t.acquire_batch(7, &reqs).unwrap();
-        assert_eq!(out.len(), 32);
-        for (i, &(e, a)) in out.iter().enumerate() {
-            assert_eq!(e, EntityId(i as u32));
-            assert_eq!(a, Acquire::Granted);
-        }
-        // A conflicting exclusive batch queues everywhere.
-        let out = t.acquire_batch(8, &reqs.iter().map(|&(e, _)| (e, x())).collect::<Vec<_>>());
-        assert!(out.unwrap().iter().all(|&(_, a)| a == Acquire::Queued));
-        let entities: Vec<EntityId> = reqs.iter().map(|&(e, _)| e).collect();
-        let grants = t.release_batch(7, &entities).unwrap();
-        let total: usize = grants.iter().map(|(_, g)| g.len()).sum();
-        assert_eq!(total, 32, "every queued request granted on release");
-        assert!(grants
-            .iter()
-            .all(|(_, g)| g.iter().all(|&(o, m)| o == 8 && m == x())));
-        t.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn batch_errors_surface() {
-        let t: ShardedTable<u32> = ShardedTable::new(2);
-        assert_eq!(
-            t.release_batch(1, &[EntityId(0)]).unwrap_err(),
-            LockError::NotHolder {
-                entity: EntityId(0)
-            }
-        );
     }
 
     #[test]

@@ -11,8 +11,8 @@ use kplock_model::{EntityId, LockMode};
 /// owners with their granted modes, in FIFO order.
 pub type Grants<O> = Vec<(O, LockMode)>;
 
-/// Per-entity grant lists, ascending by entity — what the bulk operations
-/// (`release_all`, batch release) report.
+/// Per-entity grant lists, ascending by entity — what `release_all`
+/// reports.
 pub type EntityGrants<O> = Vec<(EntityId, Grants<O>)>;
 
 /// Outcome of a lock request.

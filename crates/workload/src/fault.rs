@@ -7,9 +7,9 @@
 //! rotated-lock-order shape) with a ladder of [`FaultPlan`]s — clean,
 //! loss-only, duplication-only, loss+dup+reorder, and a crash plan — and
 //! a chosen set of [`DeadlockResolution`] arms, producing one ready-to-run
-//! scenario per (plan, arm) pair. Experiments table D3 and the `fault`
-//! criterion bench both iterate exactly this family, so the simulated
-//! numbers and the wall-clock smoke run can never drift apart.
+//! scenario per (plan, arm) pair. Experiments table D3 and
+//! `tests/avoid_conformance.rs` both iterate exactly this family, so the
+//! simulated numbers and the checked runs can never drift apart.
 
 use crate::scenarios::resolution_sweep;
 use kplock_model::TxnSystem;

@@ -23,7 +23,8 @@ use kplock::sim::{
     RunOutcome, SimConfig,
 };
 use kplock::workload::{
-    avoid_mix_sweep, fault_sweep, fig5, random_system, WorkloadParams, FAULT_ARMS_WITH_AVOID,
+    avoid_mix_sweep, certified_mix, fault_sweep, fig5, random_system, WorkloadParams,
+    FAULT_ARMS_WITH_AVOID,
 };
 
 /// The seed-23 workload of `tests/sim_regression.rs`.
@@ -173,13 +174,22 @@ fn empty_certificate_is_field_identical_to_wound_wait() {
     }
 }
 
-/// Mixed sets: the certificate shields exactly its members. Certified
-/// transactions commit on their first attempt at every rung of the
-/// certified-fraction sweep; fallback restarts are all wound-wait, and
-/// no deadlock is ever *resolved* (none can form).
+/// Mixed sets: the certificate shields exactly its members. Unrestricted
+/// synthesis yields a plan that verifies at every certified fraction.
+/// Certified transactions commit on their first attempt at every rung of
+/// the certified-fraction sweep; fallback restarts are all wound-wait,
+/// and no deadlock is ever *resolved* (none can form).
 #[test]
 fn the_certificate_shields_exactly_its_members() {
-    for sc in avoid_mix_sweep(4, 4, 2, &[0, 1, 2, 3, 4]) {
+    for (certified, fallback) in [(6, 0), (3, 3), (0, 6)] {
+        let sys = certified_mix(6, certified, fallback, 3);
+        let verdict = AvoidPlan::synthesize(&sys).verify(&sys);
+        assert!(verdict.is_ok(), "certified={certified}: {verdict:?}");
+    }
+    let sweep = avoid_mix_sweep(4, 4, 2, &[0, 1, 2, 3, 4])
+        .into_iter()
+        .chain(avoid_mix_sweep(6, 4, 3, &[0, 2, 4]));
+    for sc in sweep {
         let r = run(&sc.system, &sc.config(5)).unwrap();
         assert_eq!(r.outcome, RunOutcome::Completed, "{}", sc.name);
         assert_eq!(r.metrics.deadlocks_resolved, 0, "{}", sc.name);
@@ -208,16 +218,29 @@ fn the_certificate_shields_exactly_its_members() {
 /// avoidance arm still never resolves a deadlock, never stalls, and
 /// passes the per-step lock-table invariant audit — while the companion
 /// probe and wound-wait arms keep their own contracts on the same runs.
+/// On the clean and crash rungs every arm must also complete, since
+/// leases recover from the crashes. A larger system reruns the clean,
+/// mixed and crash rungs.
 #[test]
 fn faults_do_not_breach_the_certificate() {
-    for sc in fault_sweep(4, 3, 2, &[0.15], &FAULT_ARMS_WITH_AVOID) {
+    let full_ladder = fault_sweep(4, 3, 2, &[0.15], &FAULT_ARMS_WITH_AVOID)
+        .into_iter()
+        .map(|sc| (sc, 400_000));
+    let larger = fault_sweep(6, 4, 3, &[0.10], &FAULT_ARMS_WITH_AVOID)
+        .into_iter()
+        .filter(|sc| ["clean", "mixed=0.10", "crash"].contains(&sc.plan_name.as_str()))
+        .map(|sc| (sc, 500_000));
+    for (sc, max_time) in full_ladder.chain(larger) {
         let cfg = SimConfig {
             invariant_audit: true,
-            max_time: 400_000,
+            max_time,
             ..sc.config(5)
         };
         let r = run(&sc.system, &cfg).unwrap();
         assert_ne!(r.outcome, RunOutcome::Stalled, "{}", sc.name);
+        if sc.plan_name == "clean" || sc.plan_name == "crash" {
+            assert_eq!(r.outcome, RunOutcome::Completed, "{}", sc.name);
+        }
         if sc.resolution == DeadlockResolution::Avoid {
             assert_eq!(r.metrics.deadlocks_resolved, 0, "{}", sc.name);
             assert_eq!(r.metrics.probe_messages, 0, "{}", sc.name);

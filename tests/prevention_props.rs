@@ -18,8 +18,10 @@
 //!   exactly as under detection.
 
 use kplock::core::policy::LockStrategy;
-use kplock::sim::{run, DeadlockDetection, PreventionScheme, RunOutcome, SimConfig};
-use kplock::workload::{fig5, random_system, WorkloadParams};
+use kplock::sim::{
+    run, DeadlockDetection, DeadlockResolution, PreventionScheme, RunOutcome, SimConfig,
+};
+use kplock::workload::{fig5, random_system, resolution_sweep, WorkloadParams};
 use proptest::prelude::*;
 
 const SCHEMES: [PreventionScheme; 3] = [
@@ -221,5 +223,35 @@ fn prevention_runs_are_deterministic() {
         let b = run(&sys, &cfg).unwrap();
         assert_eq!(a.metrics, b.metrics, "{scheme:?}");
         assert_eq!(a.committed_epoch, b.committed_epoch);
+    }
+}
+
+/// The rotated-lock-order resolution sweep deadlocks under detection.
+/// Every arm must still finish it at every site count and latency, and
+/// the prevention arms must get there without resolving a single cycle.
+#[test]
+fn every_arm_finishes_the_resolution_sweep() {
+    let detectors = [DeadlockDetection::Periodic, DeadlockDetection::Probe];
+    let arms = detectors
+        .map(DeadlockResolution::from)
+        .into_iter()
+        .chain(SCHEMES.map(DeadlockResolution::from));
+    let sweep = resolution_sweep(6, 4, &[1, 2, 3, 6]);
+    for resolution in arms {
+        for sc in &sweep {
+            for latency in [5u64, 20] {
+                let cfg = SimConfig {
+                    latency: kplock::sim::LatencyModel::Fixed(latency),
+                    resolution,
+                    ..Default::default()
+                };
+                let r = run(&sc.system, &cfg).unwrap();
+                let case = format!("{}/{resolution:?}/lat={latency}", sc.name);
+                assert!(r.finished(), "{case}: {:?}", r.outcome);
+                if matches!(resolution, DeadlockResolution::Prevent(_)) {
+                    assert_eq!(r.metrics.deadlocks_resolved, 0, "{case}");
+                }
+            }
+        }
     }
 }

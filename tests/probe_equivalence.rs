@@ -32,6 +32,19 @@ fn aborted_set(r: &SimReport) -> Vec<usize> {
         .collect()
 }
 
+/// The deadlock-prone seed-23 workload pinned by `tests/sim_regression.rs`.
+fn seed23() -> kplock::model::TxnSystem {
+    random_system(&WorkloadParams {
+        seed: 23,
+        sites: 2,
+        entities_per_site: 2,
+        transactions: 4,
+        steps_per_txn: 6,
+        strategy: LockStrategy::TwoPhaseSync,
+        ..Default::default()
+    })
+}
+
 /// Runs one system under Periodic and Probe and applies the shared
 /// assertions: both complete, both commit everything serializably, probes
 /// never kill off-cycle. Returns the pair of reports for workload-specific
@@ -52,6 +65,18 @@ fn check_equivalence(sys: &kplock::model::TxnSystem, cfg: &SimConfig) -> (SimRep
         "probe aborted a transaction that was on no cycle"
     );
     (scan, probe)
+}
+
+/// [`check_equivalence`], plus the on-block detector, which must finish
+/// too.
+fn check_all_detectors(sys: &kplock::model::TxnSystem, cfg: &SimConfig) -> (SimReport, SimReport) {
+    let on_block = run(sys, &with_detection(cfg, DeadlockDetection::OnBlock)).unwrap();
+    assert!(
+        on_block.finished(),
+        "on-block detection must finish ({:?})",
+        on_block.outcome
+    );
+    check_equivalence(sys, cfg)
 }
 
 #[test]
@@ -79,15 +104,7 @@ fn pinned_deadlock_prone_workload_aborts_the_same_set() {
     // Deadlock-prone pinned workload: the scan resolves one cycle here
     // (see PIN_DEADLOCK); probes must resolve the equivalent deadlocks and
     // land on the same committed/aborted sets, possibly at different ticks.
-    let sys = random_system(&WorkloadParams {
-        seed: 23,
-        sites: 2,
-        entities_per_site: 2,
-        transactions: 4,
-        steps_per_txn: 6,
-        strategy: LockStrategy::TwoPhaseSync,
-        ..Default::default()
-    });
+    let sys = seed23();
     let cfg = SimConfig {
         latency: LatencyModel::Fixed(5),
         victim_policy: VictimPolicy::Oldest,
@@ -95,6 +112,20 @@ fn pinned_deadlock_prone_workload_aborts_the_same_set() {
     };
     let (scan, probe) = check_equivalence(&sys, &cfg);
     assert_eq!(aborted_set(&scan), aborted_set(&probe));
+}
+
+#[test]
+fn deadlock_prone_workload_finishes_as_the_wire_slows() {
+    // Slower wires delay every chase and grant, but each detector must
+    // still resolve every deadlock the seed-23 workload forms.
+    let sys = seed23();
+    for latency in [2u64, 10, 40] {
+        let cfg = SimConfig {
+            latency: LatencyModel::Fixed(latency),
+            ..Default::default()
+        };
+        check_all_detectors(&sys, &cfg);
+    }
 }
 
 #[test]
@@ -148,8 +179,9 @@ fn guaranteed_cross_site_cycle_same_victim_both_policies() {
 #[test]
 fn site_sweep_probes_pay_more_as_distribution_grows() {
     // Across a site-count sweep (same data, same offered work), probes
-    // must stay equivalent to the scan; their message overhead is the
-    // measured price of distribution.
+    // must stay equivalent to the scan and on-block detection must
+    // finish too; the probes' message overhead is the measured price of
+    // distribution.
     let base = WorkloadParams {
         seed: 31,
         transactions: 5,
@@ -157,32 +189,26 @@ fn site_sweep_probes_pay_more_as_distribution_grows() {
         strategy: LockStrategy::TwoPhaseSync,
         ..Default::default()
     };
-    let cfg = SimConfig {
-        latency: LatencyModel::Fixed(5),
-        ..Default::default()
-    };
     for sc in site_count_sweep(&base, 6, &[1, 2, 3, 6]) {
-        let (_, probe) = check_equivalence(&sc.system, &cfg);
-        if sc.value == 1 {
-            assert_eq!(
-                probe.metrics.probe_messages, 0,
-                "one site: every chase is local"
-            );
+        for latency in [5u64, 10] {
+            let cfg = SimConfig {
+                latency: LatencyModel::Fixed(latency),
+                ..Default::default()
+            };
+            let (_, probe) = check_all_detectors(&sc.system, &cfg);
+            if sc.value == 1 {
+                assert_eq!(
+                    probe.metrics.probe_messages, 0,
+                    "one site: every chase is local"
+                );
+            }
         }
     }
 }
 
 #[test]
 fn probe_runs_are_deterministic() {
-    let sys = random_system(&WorkloadParams {
-        seed: 23,
-        sites: 2,
-        entities_per_site: 2,
-        transactions: 4,
-        steps_per_txn: 6,
-        strategy: LockStrategy::TwoPhaseSync,
-        ..Default::default()
-    });
+    let sys = seed23();
     let cfg = SimConfig {
         latency: LatencyModel::Uniform(1, 20),
         seed: 9,
