@@ -52,5 +52,5 @@ pub use projection::{projection_respects_site_orders, schedule_at_site, txn_site
 pub use schedule::{Schedule, ScheduledStep};
 pub use serializability::{equivalent_serial_order, is_serializable, serialization_graph};
 pub use system::TxnSystem;
-pub use txn::Transaction;
+pub use txn::{ReadyFrontier, Transaction};
 pub use validate::{validate, Level};

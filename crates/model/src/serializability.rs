@@ -16,7 +16,7 @@ use crate::ids::{EntityId, TxnId};
 use crate::schedule::Schedule;
 use crate::system::TxnSystem;
 use kplock_graph::DiGraph;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Builds the serialization graph of a (complete, legal) schedule: one node
 /// per transaction, an edge `Ti -> Tj` iff some access of an entity by `Ti`
@@ -44,6 +44,19 @@ pub fn serialization_graph(sys: &TxnSystem, schedule: &Schedule) -> DiGraph {
     let mut g = DiGraph::new(k);
     // Per entity, the list of (position, txn, is_write, is_direct) events.
     let mut accesses: HashMap<EntityId, Vec<(usize, TxnId, bool, bool)>> = HashMap::new();
+    // The entities each transaction updates, gathered once: asking the
+    // transaction per lock step would rescan all its steps every time.
+    let updated: Vec<HashSet<EntityId>> = sys
+        .txns()
+        .iter()
+        .map(|t| {
+            t.steps()
+                .iter()
+                .filter(|s| s.kind == ActionKind::Update)
+                .map(|s| s.entity)
+                .collect()
+        })
+        .collect();
 
     for (pos, ss) in schedule.steps().iter().enumerate() {
         let txn = sys.txn(ss.txn);
@@ -51,7 +64,7 @@ pub fn serialization_graph(sys: &TxnSystem, schedule: &Schedule) -> DiGraph {
         let is_access = match step.kind {
             ActionKind::Update => true,
             ActionKind::Lock => {
-                !step.mode.is_intention() && txn.update_steps(step.entity).is_empty()
+                !step.mode.is_intention() && !updated[ss.txn.idx()].contains(&step.entity)
             }
             ActionKind::Unlock => false,
         };

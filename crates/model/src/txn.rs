@@ -235,6 +235,113 @@ impl Transaction {
     }
 }
 
+/// Kahn-style readiness over one transaction's precedence dag: which steps
+/// may run, given which have finished.
+///
+/// A step is *ready* once every direct predecessor has finished. The
+/// frontier keeps, per step, the number of predecessors still unfinished
+/// (the initial counts are computed once, at construction) and the number
+/// of steps left, so finishing a step costs O(out-degree) and the
+/// "everything finished" test O(1) — against O(steps + edges) for a rescan
+/// of the whole transaction after every completion.
+///
+/// ```
+/// use kplock_model::{Database, ReadyFrontier, StepId, TxnBuilder};
+///
+/// let db = Database::from_spec(&[("x", 0)]);
+/// let mut b = TxnBuilder::new(&db, "T");
+/// b.script("Lx x Ux").unwrap(); // a chain of three steps
+/// let t = b.build().unwrap();
+///
+/// let mut f = ReadyFrontier::new(&t);
+/// assert_eq!(f.roots(), &[StepId(0)]);
+/// assert_eq!(f.complete(StepId(0)), &[StepId(1)]);
+/// assert_eq!(f.complete(StepId(1)), &[StepId(2)]);
+/// assert!(f.complete(StepId(2)).is_empty());
+/// assert!(f.is_finished());
+/// f.reset(); // a new epoch starts over from the roots
+/// assert_eq!(f.remaining(), 3);
+/// ```
+#[derive(Clone, Debug)]
+pub struct ReadyFrontier<'t> {
+    txn: &'t Transaction,
+    /// Direct-predecessor count per step: the state `reset` restores.
+    initial: Vec<u32>,
+    /// Predecessors not yet finished, per step.
+    unfinished: Vec<u32>,
+    /// Steps without predecessors, ascending: ready at every epoch start.
+    roots: Vec<StepId>,
+    /// Steps not yet finished.
+    left: usize,
+    /// The steps the last `complete` made ready (reused between calls).
+    ready: Vec<StepId>,
+}
+
+impl<'t> ReadyFrontier<'t> {
+    /// A frontier at the start of an epoch: nothing finished, exactly the
+    /// roots ready.
+    pub fn new(txn: &'t Transaction) -> Self {
+        let initial: Vec<u32> = (0..txn.len())
+            .map(|v| txn.graph.predecessors(v).len() as u32)
+            .collect();
+        let roots = txn.step_ids().filter(|s| initial[s.idx()] == 0).collect();
+        ReadyFrontier {
+            txn,
+            unfinished: initial.clone(),
+            initial,
+            roots,
+            left: txn.len(),
+            ready: Vec::new(),
+        }
+    }
+
+    /// The transaction this frontier walks.
+    pub fn transaction(&self) -> &'t Transaction {
+        self.txn
+    }
+
+    /// The steps ready before anything finishes, in ascending order.
+    pub fn roots(&self) -> &[StepId] {
+        &self.roots
+    }
+
+    /// Marks the ready step `v` finished and returns the steps that became
+    /// ready because of it, in ascending order. Each step becomes ready
+    /// exactly once per epoch, so over an epoch the roots and the results
+    /// of `complete` list every step once.
+    ///
+    /// `v` must be ready and not finished yet in this epoch.
+    pub fn complete(&mut self, v: StepId) -> &[StepId] {
+        debug_assert_eq!(self.unfinished[v.idx()], 0, "{v:?} is not ready");
+        self.left -= 1;
+        self.ready.clear();
+        for &w in self.txn.graph.successors(v.idx()) {
+            self.unfinished[w] -= 1;
+            if self.unfinished[w] == 0 {
+                self.ready.push(StepId::from_idx(w));
+            }
+        }
+        self.ready.sort_unstable();
+        &self.ready
+    }
+
+    /// Steps not finished yet in this epoch.
+    pub fn remaining(&self) -> usize {
+        self.left
+    }
+
+    /// True once every step has finished.
+    pub fn is_finished(&self) -> bool {
+        self.left == 0
+    }
+
+    /// Starts a new epoch: nothing finished, exactly the roots ready.
+    pub fn reset(&mut self) {
+        self.unfinished.copy_from_slice(&self.initial);
+        self.left = self.initial.len();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -312,6 +419,29 @@ mod tests {
         let total = partial.with_precedence(StepId(0), StepId(1)).unwrap();
         assert!(total.is_total_order());
         assert_eq!(total.total_order().unwrap(), vec![StepId(0), StepId(1)]);
+    }
+
+    #[test]
+    fn frontier_releases_a_join_after_its_last_predecessor() {
+        // 0 -> {3, 1} (inserted in that order), {1, 3} -> 2: a diamond
+        // whose successor list is not in index order.
+        let steps = (0..4).map(|i| Step::update(EntityId(i))).collect();
+        let edges = [(0, 3), (0, 1), (1, 2), (3, 2)].map(|(a, b)| (StepId(a), StepId(b)));
+        let t = Transaction::new("T", steps, edges).unwrap();
+        let mut f = ReadyFrontier::new(&t);
+        assert_eq!(f.roots(), &[StepId(0)]);
+        assert_eq!(f.complete(StepId(0)), &[StepId(1), StepId(3)]);
+        assert!(f.complete(StepId(3)).is_empty());
+        assert_eq!(f.remaining(), 2);
+        assert_eq!(f.complete(StepId(1)), &[StepId(2)]);
+        // A reset mid-epoch restores the initial counts.
+        f.reset();
+        assert_eq!(f.remaining(), 4);
+        assert_eq!(f.complete(StepId(0)), &[StepId(1), StepId(3)]);
+        assert!(f.complete(StepId(1)).is_empty());
+        assert_eq!(f.complete(StepId(3)), &[StepId(2)]);
+        assert!(f.complete(StepId(2)).is_empty());
+        assert!(f.is_finished());
     }
 
     #[test]

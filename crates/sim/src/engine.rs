@@ -40,7 +40,9 @@ use crate::metrics::Metrics;
 use crate::probe::{self, ProbeMsg, SiteProbeState, Stamp};
 use kplock_dlm::{DelegationLedger, Lease, LeaseTable, PreventionOutcome, WaitForGraph};
 use kplock_graph::DiGraph;
-use kplock_model::{ActionKind, EntityId, LockMode, SiteId, StepId, TxnId, TxnSystem};
+use kplock_model::{
+    ActionKind, EntityId, LockMode, ReadyFrontier, SiteId, StepId, TxnId, TxnSystem,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, HashSet};
@@ -91,10 +93,14 @@ impl SimReport {
     }
 }
 
-struct Coordinator {
+struct Coordinator<'a> {
     epoch: u32,
     done: Vec<bool>,
     issued: Vec<bool>,
+    /// Which steps of the current epoch may run: completing a step
+    /// touches only its successors, so issuing costs O(out-degree) per
+    /// acknowledgement and the commit test O(1).
+    frontier: ReadyFrontier<'a>,
     committed: bool,
     /// Last (re)start time (metrics/diagnostics).
     started_at: SimTime,
@@ -128,7 +134,7 @@ struct Coordinator {
 ///   `Prevent(WoundWait)`.
 fn admission_priority(
     cfg: &SimConfig,
-    coords: &[Coordinator],
+    coords: &[Coordinator<'_>],
     o: Instance,
 ) -> kplock_dlm::Priority {
     let (t, idx) = coords[o.txn.idx()].birth;
@@ -168,7 +174,11 @@ struct Engine<'a> {
     rng: StdRng,
     queue: EventQueue,
     sites: Vec<SiteTable>,
-    coords: Vec<Coordinator>,
+    coords: Vec<Coordinator<'a>>,
+    /// How many coordinators have committed (a commit is final).
+    committed: usize,
+    /// Scratch for the steps about to be issued.
+    ready: Vec<StepId>,
     /// Lock step id for a queued lock request.
     pending_lock_step: HashMap<(Instance, EntityId), StepId>,
     /// When an instance started waiting for a lock.
@@ -314,11 +324,14 @@ pub fn run_with_arrivals(
                 epoch: 0,
                 done: vec![false; t.len()],
                 issued: vec![false; t.len()],
+                frontier: ReadyFrontier::new(t),
                 committed: false,
                 started_at: arrivals[i],
                 birth: (arrivals[i], i),
             })
             .collect(),
+        committed: 0,
+        ready: Vec::new(),
         pending_lock_step: HashMap::new(),
         waiting_since: HashMap::new(),
         wfg: WaitForGraph::new(),
@@ -348,7 +361,7 @@ pub fn run_with_arrivals(
     for (t, &arrival) in arrivals.iter().enumerate() {
         let txn = TxnId::from_idx(t);
         if arrival == 0 {
-            eng.issue_ready(txn);
+            eng.issue_roots(txn);
             // Late arrivals get their timer from the Restart handler.
             if cfg.faults.retransmit_after > 0 {
                 eng.queue.push(
@@ -433,7 +446,7 @@ pub fn run_with_arrivals(
             }
             EventKind::Restart(txn) => {
                 eng.coords[txn.idx()].started_at = eng.now;
-                eng.issue_ready(txn);
+                eng.issue_roots(txn);
                 // Arm the retransmission timer for this (possibly fresh)
                 // epoch; the previous epoch's timer dies on its mismatch.
                 if cfg.faults.retransmit_after > 0 {
@@ -489,7 +502,7 @@ pub fn run_with_arrivals(
 
 impl Engine<'_> {
     fn all_committed(&self) -> bool {
-        self.coords.iter().all(|c| c.committed)
+        self.committed == self.coords.len()
     }
 
     fn latency(&mut self) -> u64 {
@@ -566,20 +579,30 @@ impl Engine<'_> {
         self.queue.push(at, ev);
     }
 
-    /// Issues every step whose predecessors are done and that has not been
-    /// issued yet.
-    fn issue_ready(&mut self, txn: TxnId) {
-        let t = self.sys.txn(txn);
-        let ready: Vec<usize> = (0..t.len())
-            .filter(|&v| {
-                let c = &self.coords[txn.idx()];
-                !c.issued[v] && t.edge_graph().predecessors(v).iter().all(|&p| c.done[p])
-            })
-            .collect();
-        for v in ready {
-            self.coords[txn.idx()].issued[v] = true;
-            self.send_step(txn, v);
+    /// Issues the epoch's root steps (those without predecessors) that
+    /// are not issued yet, in ascending order. Every other step is issued
+    /// by the acknowledgement that makes it ready, so after this call
+    /// every ready step of the epoch is issued. A second `Restart` of the
+    /// same epoch (the transaction was aborted again before the first
+    /// one fired) finds the roots issued and sends nothing.
+    fn issue_roots(&mut self, txn: TxnId) {
+        let mut ready = std::mem::take(&mut self.ready);
+        let c = &self.coords[txn.idx()];
+        ready.extend(c.frontier.roots().iter().filter(|v| !c.issued[v.idx()]));
+        self.issue(txn, ready);
+    }
+
+    /// Sends the requests for `ready`, steps of `txn`'s current epoch, in
+    /// the given (ascending) order, then keeps the buffer as scratch.
+    /// The latency draws follow this order, so every fixed-seed pin
+    /// depends on it.
+    fn issue(&mut self, txn: TxnId, mut ready: Vec<StepId>) {
+        for &v in &ready {
+            self.coords[txn.idx()].issued[v.idx()] = true;
+            self.send_step(txn, v.idx());
         }
+        ready.clear();
+        self.ready = ready;
     }
 
     /// Sends (or re-sends — retransmission and recovery re-delivery both
@@ -1293,13 +1316,15 @@ impl Engine<'_> {
         }
         let c = &mut self.coords[txn.idx()];
         c.done[step.idx()] = true;
-        if c.done.iter().all(|&d| d) {
+        let mut ready = std::mem::take(&mut self.ready);
+        ready.extend_from_slice(c.frontier.complete(step));
+        if c.frontier.is_finished() {
             c.committed = true;
+            self.committed += 1;
             self.metrics.committed += 1;
             self.metrics.makespan = self.now;
-            return;
         }
-        self.issue_ready(txn);
+        self.issue(txn, ready);
     }
 
     /// Maintains the delegated cache from a fresh (non-duplicate,
@@ -1358,11 +1383,10 @@ impl Engine<'_> {
     /// lock step on `entity` — a grant ack may be in flight.
     fn lock_in_flight(&self, txn: TxnId, entity: EntityId) -> bool {
         let c = &self.coords[txn.idx()];
-        let t = self.sys.txn(txn);
-        (0..t.len()).any(|v| {
-            let st = t.step(StepId::from_idx(v));
-            st.kind == ActionKind::Lock && st.entity == entity && c.issued[v] && !c.done[v]
-        })
+        self.sys
+            .txn(txn)
+            .lock_step(entity)
+            .is_some_and(|v| c.issued[v.idx()] && !c.done[v.idx()])
     }
 
     /// True when `txn`'s current epoch holds `entity` through the
@@ -1372,20 +1396,8 @@ impl Engine<'_> {
     fn holds_remotely(&self, txn: TxnId, entity: EntityId) -> bool {
         let c = &self.coords[txn.idx()];
         let t = self.sys.txn(txn);
-        let mut locked = false;
-        let mut unlocked = false;
-        for v in 0..t.len() {
-            let st = t.step(StepId::from_idx(v));
-            if st.entity != entity {
-                continue;
-            }
-            match st.kind {
-                ActionKind::Lock => locked |= c.done[v],
-                ActionKind::Unlock => unlocked |= c.done[v],
-                ActionKind::Update => {}
-            }
-        }
-        locked && !unlocked
+        let done = |s: Option<StepId>| s.is_some_and(|v| c.done[v.idx()]);
+        done(t.lock_step(entity)) && !done(t.unlock_step(entity))
     }
 
     /// A revocation reached the delegate's coordinator. Deliberately *no*
@@ -1603,12 +1615,11 @@ impl Engine<'_> {
             }
         }
         // Reset the coordinator for a fresh epoch.
-        let t = self.sys.txn(txn);
         let c = &mut self.coords[txn.idx()];
         c.epoch += 1;
-        c.done = vec![false; t.len()];
-        c.issued = vec![false; t.len()];
-        c.committed = false;
+        c.done.fill(false);
+        c.issued.fill(false);
+        c.frontier.reset();
         // Jittered backoff (seeded, deterministic): without jitter,
         // symmetric workloads can re-collide forever under fixed latencies.
         let jitter = rand::Rng::gen_range(&mut self.rng, 0..=self.cfg.restart_backoff);

@@ -32,9 +32,11 @@ use crate::event::Instance;
 use crate::history::History;
 use crate::history::{audit, Audit};
 use kplock_dlm::{Acquire, PreventionOutcome, PreventionScheme, Priority, ShardedTable, TableSpec};
-use kplock_model::{ActionKind, EntityId, StepId, TxnId, TxnSystem};
+use kplock_model::{ActionKind, EntityId, ReadyFrontier, StepId, TxnId, TxnSystem};
 use parking_lot::{Condvar, Mutex};
 use rand::Rng;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -339,8 +341,10 @@ fn run_txn(sys: &TxnSystem, txn: TxnId, shared: &Shared, cfg: &ThreadedConfig) -
     // the table under the *previous* (aborted) epoch's instance, pending
     // revalidation by the next attempt. Empty unless delegation is on.
     let mut cache: Vec<EntityId> = Vec::new();
+    let mut frontier = ReadyFrontier::new(t);
     for epoch in 0..cfg.max_attempts {
-        if attempt(sys.db(), txn, epoch, t, shared, cfg, &mut cache) {
+        frontier.reset();
+        if attempt(sys.db(), txn, epoch, &mut frontier, shared, cfg, &mut cache) {
             return (true, epoch);
         }
         // Aborted: back off and retry.
@@ -455,7 +459,7 @@ fn attempt(
     db: &kplock_model::Database,
     txn: TxnId,
     epoch: u32,
-    t: &kplock_model::Transaction,
+    frontier: &mut ReadyFrontier<'_>,
     shared: &Shared,
     cfg: &ThreadedConfig,
     cache: &mut Vec<EntityId>,
@@ -474,7 +478,10 @@ fn attempt(
         };
         cache.retain(|&e| rekey(shared, cfg, e, old, inst));
     }
-    let mut done = vec![false; t.len()];
+    let t = frontier.transaction();
+    // Ready steps, smallest index first.
+    let mut ready: BinaryHeap<Reverse<StepId>> =
+        frontier.roots().iter().copied().map(Reverse).collect();
     let mut held: Vec<EntityId> = Vec::new();
 
     // Execute steps as they become ready (single-threaded within a
@@ -486,12 +493,11 @@ fn attempt(
             abort_attempt(shared, cfg, inst, &mut held, cache);
             return false;
         }
-        let Some(v) = (0..t.len())
-            .find(|&v| !done[v] && t.edge_graph().predecessors(v).iter().all(|&p| done[p]))
-        else {
+        let Some(Reverse(v)) = ready.pop() else {
+            debug_assert!(frontier.is_finished());
             return true; // all steps done
         };
-        let step = t.step(StepId::from_idx(v));
+        let step = t.step(v);
         let shard = shared.table.shard_index(step.entity);
         match step.kind {
             ActionKind::Lock => {
@@ -508,12 +514,12 @@ fn attempt(
                             .is_some_and(|m| m.covers(step.mode));
                         if cached {
                             held.push(step.entity);
-                            shared.record(txn, epoch, StepId::from_idx(v));
+                            shared.record(txn, epoch, v);
                             shared.cache_hits.fetch_add(1, Ordering::Relaxed);
                         }
                         drop(st);
                         if cached {
-                            done[v] = true;
+                            ready.extend(frontier.complete(v).iter().copied().map(Reverse));
                             continue;
                         }
                     }
@@ -560,7 +566,7 @@ fn attempt(
                 };
                 if !queued {
                     held.push(step.entity);
-                    shared.record(txn, epoch, StepId::from_idx(v));
+                    shared.record(txn, epoch, v);
                     drop(st);
                 } else {
                     // FIFO: a later release grants us in-queue and wakes
@@ -601,7 +607,7 @@ fn attempt(
                         }
                         if st.holds(step.entity, inst).is_some() {
                             held.push(step.entity);
-                            shared.record(txn, epoch, StepId::from_idx(v));
+                            shared.record(txn, epoch, v);
                             drop(st);
                             break;
                         }
@@ -627,7 +633,7 @@ fn attempt(
                 let covered = st
                     .holds(step.entity, inst)
                     .is_some_and(|held| held.covers(step.mode));
-                shared.record(txn, epoch, StepId::from_idx(v));
+                shared.record(txn, epoch, v);
                 drop(st);
                 // On a hierarchical database a coarse parent lock shields
                 // the access instead; the parent may hash to another
@@ -645,12 +651,12 @@ fn attempt(
                 let mut st = shared.table.lock_shard_index(shard);
                 let grants = st.release(step.entity, inst).expect("we hold it");
                 held.retain(|&e| e != step.entity);
-                shared.record(txn, epoch, StepId::from_idx(v));
+                shared.record(txn, epoch, v);
                 drop(st);
                 shared.notify_grants(&grants);
             }
         }
-        done[v] = true;
+        ready.extend(frontier.complete(v).iter().copied().map(Reverse));
     }
 }
 

@@ -1,4 +1,4 @@
-//! A naive reference lock table and the differential harness around it.
+//! Naive reference implementations and the differential harnesses around them.
 //!
 //! [`Oracle`] implements the lock-table protocol the way it is written
 //! down, with plain per-entity `Vec`s and linear scans: no arena, no
@@ -8,8 +8,13 @@
 //! `tests/lattice_props.rs` drive it and `QueueTable` with the same
 //! operation streams ([`apply`]) and require identical observations at
 //! every step ([`assert_same`]).
+//!
+//! [`readiness`] holds the same kind of oracle for coordinator readiness:
+//! the naive whole-transaction rescan that `ReadyFrontier` replaced.
 
 #![allow(dead_code)] // each test binary uses a different subset
+
+pub mod readiness;
 
 use kplock::dlm::{
     Acquire, CancelOutcome, LockError, PreventionOutcome, PreventionScheme, QueueTable,

@@ -8,11 +8,15 @@
 //! printed actual values and justify the change in the PR.
 
 use kplock_core::policy::LockStrategy;
+use kplock_model::Granularity;
 use kplock_sim::{
-    run, Delegation, FaultPlan, LatencyModel, Metrics, PreventionScheme, RunOutcome, SimConfig,
-    SiteCrash, VictimPolicy,
+    run, run_with_arrivals, DeadlockDetection, DeadlockResolution, Delegation, FaultPlan,
+    LatencyModel, Metrics, PreventionScheme, RunOutcome, SimConfig, SiteCrash, VictimPolicy,
 };
-use kplock_workload::{avoid_mix_sweep, fault_plan_ladder, fig5, random_system, WorkloadParams};
+use kplock_workload::{
+    avoid_mix_sweep, fault_plan_ladder, fig5, hierarchy_system, random_system, AccessProfile,
+    HierarchyParams, WorkloadParams,
+};
 
 fn metrics(m: &Metrics) -> (usize, usize, u64, u64, usize, u64) {
     (
@@ -234,6 +238,99 @@ fn fixed_seed_delegated_run_is_pinned() {
 }
 
 #[test]
+fn fixed_seed_flat_scan_is_pinned_under_every_arm() {
+    // Long chains and restart-heavy runs: a small flat scan (one lock per
+    // record, so each transaction is a chain of ~70 steps) with
+    // overlapping arrivals, under each detection and prevention arm. The
+    // latency draws follow the coordinators' step issues, so these tuples
+    // pin when each step is issued along long chains and across the
+    // wait-die / no-wait restarts, which the random-system pins above
+    // (six steps per transaction) barely exercise.
+    let sc = hierarchy_system(
+        &HierarchyParams {
+            files: 3,
+            records_per_file: 24,
+            sites: 2,
+            transactions: 6,
+            zipf_theta: 0.6,
+            profile: AccessProfile::Scan,
+            arrival_gap: 10,
+            seed: 4,
+        },
+        Granularity::Flat,
+    );
+    let arms: [(DeadlockResolution, _); 6] = [
+        (DeadlockDetection::Periodic.into(), PIN_SCAN_PERIODIC),
+        (DeadlockDetection::OnBlock.into(), PIN_SCAN_ON_BLOCK),
+        (DeadlockDetection::Probe.into(), PIN_SCAN_PROBE),
+        (PreventionScheme::WoundWait.into(), PIN_SCAN_WOUND_WAIT),
+        (PreventionScheme::WaitDie.into(), PIN_SCAN_WAIT_DIE),
+        (PreventionScheme::NoWait.into(), PIN_SCAN_NO_WAIT),
+    ];
+    for (resolution, pin) in arms {
+        let cfg = SimConfig {
+            latency: LatencyModel::Uniform(1, 20),
+            seed: 7,
+            resolution,
+            ..Default::default()
+        };
+        let r = run_with_arrivals(&sc.system, &cfg, &sc.arrivals).expect("valid config");
+        assert!(r.finished(), "{resolution:?}");
+        assert!(r.audit.serializable, "{resolution:?}");
+        assert_eq!(
+            metrics(&r.metrics),
+            pin,
+            "{resolution:?} actual: {:?}",
+            metrics(&r.metrics)
+        );
+    }
+}
+
+#[test]
+fn fixed_seed_delegated_wound_wait_run_is_pinned() {
+    // Delegation under wound-wait: abort retention re-keys cached holds
+    // to the successor epoch before it restarts, so a wound can abort
+    // that epoch again while its first Restart is still queued. The
+    // second Restart must find the roots issued and send nothing. This
+    // run hits that case; re-sending the roots there breaks the lock
+    // table's protocol.
+    let sys = random_system(&WorkloadParams {
+        seed: 0,
+        sites: 2,
+        entities_per_site: 2,
+        transactions: 4,
+        steps_per_txn: 6,
+        strategy: LockStrategy::TwoPhaseSync,
+        ..Default::default()
+    });
+    let cfg = SimConfig {
+        latency: LatencyModel::Uniform(1, 20),
+        seed: 0,
+        resolution: PreventionScheme::WoundWait.into(),
+        delegation: Delegation::On,
+        invariant_audit: true,
+        ..Default::default()
+    };
+    let r = run(&sys, &cfg).expect("valid config");
+    assert!(r.finished());
+    assert!(r.audit.serializable);
+    let deleg = |m: &Metrics| {
+        (
+            m.lock_traffic,
+            m.cache_hits,
+            m.revocations,
+            m.messages_saved,
+        )
+    };
+    assert_eq!(
+        (metrics(&r.metrics), deleg(&r.metrics)),
+        PIN_DELEGATED_WOUND_WAIT,
+        "actual: {:?}",
+        (metrics(&r.metrics), deleg(&r.metrics))
+    );
+}
+
+#[test]
 fn duplicated_grants_never_extend_leases_under_the_dup_heavy_ladder() {
     // Satellite regression: a duplicated grant message re-lands at the
     // lease table and must NOT slide the renewal clock — the lease keys
@@ -323,3 +420,22 @@ const PIN_DELEGATED: ((usize, usize, u64, u64, usize, u64), (u64, u64, u64, u64)
 // 40-tick lease ttl, per delegation mode.
 const PIN_DUP_LEASES_OFF: (usize, usize) = (2, 4);
 const PIN_DUP_LEASES_ON: (usize, usize) = (2, 4);
+
+// Flat-scan pins: (committed, aborts, messages, lock_wait_ticks,
+// deadlocks_resolved, makespan) for the six resolution arms, recorded
+// before the coordinators moved to an incremental ready frontier and
+// required to survive it unchanged. The scans lock records in file order,
+// so the detection arms never see a cycle and agree with each other.
+const PIN_SCAN_PERIODIC: (usize, usize, u64, u64, usize, u64) = (6, 0, 864, 7920, 0, 4237);
+const PIN_SCAN_ON_BLOCK: (usize, usize, u64, u64, usize, u64) = PIN_SCAN_PERIODIC;
+const PIN_SCAN_PROBE: (usize, usize, u64, u64, usize, u64) = PIN_SCAN_PERIODIC;
+const PIN_SCAN_WOUND_WAIT: (usize, usize, u64, u64, usize, u64) = (6, 2, 890, 7444, 0, 4244);
+const PIN_SCAN_WAIT_DIE: (usize, usize, u64, u64, usize, u64) = (6, 43, 1198, 2607, 0, 4332);
+const PIN_SCAN_NO_WAIT: (usize, usize, u64, u64, usize, u64) = (6, 79, 1382, 0, 0, 4417);
+
+// Delegated wound-wait pin: the seed-0 workload, where a wound aborts a
+// successor epoch before it restarts. Recorded with the flat-scan pins,
+// before the ready frontier.
+#[allow(clippy::type_complexity)]
+const PIN_DELEGATED_WOUND_WAIT: ((usize, usize, u64, u64, usize, u64), (u64, u64, u64, u64)) =
+    ((4, 6, 129, 1038, 0, 589), (74, 11, 10, 18));
